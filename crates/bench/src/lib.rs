@@ -7,8 +7,8 @@
 //!   variants), Level hashing, CCEH and Path hashing, sized for a workload
 //!   and wired to the AEP latency model.
 //! * [`runner`] — preload + timed multi-threaded op-stream execution over
-//!   any [`hdnh_common::HashIndex`], with optional per-op latency capture.
-//! * [`hist`] — a log-bucketed latency histogram (percentiles, CDF export).
+//!   any [`hdnh_common::HashIndex`], with optional per-op latency capture
+//!   into [`hdnh_obs::hist::HistSnapshot`] (percentiles, CDF export).
 //! * [`report`] — aligned-table printing shared by all binaries.
 //! * [`json`] / [`check`] — a dependency-free JSON reader and the
 //!   tolerance-band comparisons behind the `bench_check` regression gate.
@@ -24,7 +24,6 @@
 
 #![warn(missing_docs)]
 pub mod check;
-pub mod hist;
 pub mod json;
 pub mod report;
 pub mod runner;

@@ -8,9 +8,8 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use hdnh_common::HashIndex;
+use hdnh_obs::hist::HistSnapshot;
 use hdnh_ycsb::{generate_ops, KeySpace, Op, WorkloadSpec};
-
-use crate::hist::Histogram;
 
 /// Outcome of one timed run.
 pub struct RunResult {
@@ -19,7 +18,7 @@ pub struct RunResult {
     /// Wall-clock seconds.
     pub secs: f64,
     /// Latency histogram (present when requested).
-    pub hist: Option<Histogram>,
+    pub hist: Option<HistSnapshot>,
 }
 
 impl RunResult {
@@ -74,50 +73,42 @@ pub fn run_streams(
     let threads = streams.len();
     let barrier = &Barrier::new(threads + 1);
     let total_ops: usize = streams.iter().map(Vec::len).sum();
-    let mut hists: Vec<Histogram> = Vec::new();
     let mut start = Instant::now();
-    let (tx, rx) = std::sync::mpsc::channel::<Histogram>();
-    std::thread::scope(|s| {
-        for stream in streams {
-            let tx = tx.clone();
-            s.spawn(move || {
-                let mut hist = record_latency.then(Histogram::new);
-                barrier.wait();
-                for op in stream {
-                    if let Some(h) = hist.as_mut() {
-                        let t0 = Instant::now();
-                        execute(index, ks, op);
-                        h.record(t0.elapsed().as_nanos() as u64);
-                    } else {
-                        execute(index, ks, op);
+    let hist = std::thread::scope(|s| {
+        let workers: Vec<_> = streams
+            .iter()
+            .map(|stream| {
+                s.spawn(move || {
+                    let mut hist = record_latency.then(HistSnapshot::empty);
+                    barrier.wait();
+                    for op in stream {
+                        if let Some(h) = hist.as_mut() {
+                            let t0 = Instant::now();
+                            execute(index, ks, op);
+                            h.record(t0.elapsed().as_nanos() as u64);
+                        } else {
+                            execute(index, ks, op);
+                        }
                     }
-                }
-                if let Some(h) = hist {
-                    let _ = tx.send(h);
-                }
-            });
-        }
-        drop(tx);
+                    hist
+                })
+            })
+            .collect();
         // Timer starts *before* releasing the barrier: if it started after,
         // a descheduled main thread could time a fraction of the run. The
         // barrier wake-up cost (~µs) is noise at benchmark durations.
         start = Instant::now();
         barrier.wait();
-        // The scope joins all workers on exit; drain histograms meanwhile.
-        if record_latency {
-            while let Ok(h) = rx.recv() {
-                hists.push(h);
+        let mut merged = record_latency.then(HistSnapshot::empty);
+        for w in workers {
+            let h = w.join().expect("benchmark worker panicked");
+            if let (Some(m), Some(h)) = (merged.as_mut(), h) {
+                m.merge(&h);
             }
-        }
-    });
-    let secs = start.elapsed().as_secs_f64();
-    let hist = record_latency.then(|| {
-        let mut merged = Histogram::new();
-        for h in &hists {
-            merged.merge(h);
         }
         merged
     });
+    let secs = start.elapsed().as_secs_f64();
     RunResult {
         ops: total_ops,
         secs,

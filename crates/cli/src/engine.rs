@@ -46,6 +46,82 @@ impl Default for EngineConfig {
     }
 }
 
+impl EngineConfig {
+    /// The table parameters these flags describe. `pool` is not applied
+    /// here: [`Hdnh::open_pool`] injects the pool backend itself.
+    fn params(&self) -> Result<HdnhParams, HdnhError> {
+        if self.strict && self.pool.is_some() {
+            return Err(HdnhError::Config(
+                "--strict simulates shadow media and cannot be combined with --pool".into(),
+            ));
+        }
+        let nvm = if self.strict {
+            NvmOptions::strict()
+        } else if self.latency {
+            NvmOptions::bench()
+        } else {
+            NvmOptions::fast()
+        };
+        HdnhParams::builder()
+            .capacity(self.capacity)
+            .nvm(nvm)
+            .sync_policy(self.sync_policy)
+            .build()
+            .map_err(|e| HdnhError::Config(e.to_string()))
+    }
+}
+
+/// Opens the table `config` describes — a fresh heap table, or the pool in
+/// `config.pool`, created or recovered — and, for a pool, a one-line
+/// banner saying how it was opened. The shell and `serve` both start here.
+pub fn open_table(config: &EngineConfig) -> Result<(Hdnh, Option<String>), HdnhError> {
+    let params = config.params()?;
+    let Some(dir) = &config.pool else {
+        return Ok((Hdnh::new(params), None));
+    };
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(2);
+    let (table, report) = Hdnh::open_pool(params, std::path::Path::new(dir), threads)?;
+    let banner = if report.created {
+        format!("created pool {dir} (layout epoch {})", report.layout_epoch)
+    } else {
+        format!(
+            "opened pool {dir}: {} records, layout epoch {}, {}{}",
+            table.len(),
+            report.layout_epoch,
+            if report.was_clean {
+                "clean shutdown"
+            } else {
+                "recovered after unclean shutdown"
+            },
+            if report.removed_orphans > 0 {
+                format!(", {} orphan file(s) removed", report.removed_orphans)
+            } else {
+                String::new()
+            },
+        )
+    };
+    Ok((table, Some(banner)))
+}
+
+/// Maps a write's result to the shell's reply. Duplicate-key and not-found
+/// stay plain text; any other error is a failure, and so is a sticky i/o
+/// fault left by the write — as the RESP server withholds `+OK` over a
+/// failed flush, the shell never reports such a write as done.
+fn ack(table: &Hdnh, res: Result<&str, HdnhError>) -> Result<Outcome, HdnhError> {
+    match res {
+        Err(e @ (HdnhError::DuplicateKey | HdnhError::KeyNotFound)) => {
+            Ok(Outcome::Text(format!("error: {e}")))
+        }
+        Err(e) => Err(e),
+        Ok(text) => match table.io_fault() {
+            None => Ok(Outcome::Text(text.to_string())),
+            Some(e) => Err(e),
+        },
+    }
+}
+
 /// A live table plus the state the shell needs.
 pub struct Engine {
     table: Option<Hdnh>,
@@ -88,57 +164,11 @@ impl Engine {
     /// Builds an engine, surfacing configuration and pool-open problems as
     /// typed errors (the binary prints them and exits nonzero).
     pub fn try_new(config: EngineConfig) -> Result<Self, HdnhError> {
-        if config.strict && config.pool.is_some() {
-            return Err(HdnhError::Config(
-                "--strict simulates shadow media and cannot be combined with --pool".into(),
-            ));
-        }
-        let nvm = if config.strict {
-            NvmOptions::strict()
-        } else if config.latency {
-            NvmOptions::bench()
-        } else {
-            NvmOptions::fast()
-        };
-        let params = HdnhParams::builder()
-            .capacity(config.capacity)
-            .nvm(nvm)
-            .sync_policy(config.sync_policy)
-            .build()
-            .map_err(|e| HdnhError::Config(e.to_string()))?;
+        let params = config.params()?;
         // The shell is an observability surface: the registry is always on
         // here (library users opt in via `hdnh_obs::set_enabled`).
         obs::set_enabled(true);
-        let (table, open_banner) = match &config.pool {
-            None => (Hdnh::new(params.clone()), None),
-            Some(dir) => {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(2);
-                let (table, report) =
-                    Hdnh::open_pool(params.clone(), std::path::Path::new(dir), threads)?;
-                let banner = if report.created {
-                    format!("created pool {dir} (layout epoch {})", report.layout_epoch)
-                } else {
-                    format!(
-                        "opened pool {dir}: {} records, layout epoch {}, {}{}",
-                        table.len(),
-                        report.layout_epoch,
-                        if report.was_clean {
-                            "clean shutdown"
-                        } else {
-                            "recovered after unclean shutdown"
-                        },
-                        if report.removed_orphans > 0 {
-                            format!(", {} orphan file(s) removed", report.removed_orphans)
-                        } else {
-                            String::new()
-                        },
-                    )
-                };
-                (table, Some(banner))
-            }
-        };
+        let (table, open_banner) = open_table(&config)?;
         Ok(Engine {
             table: Some(table),
             params,
@@ -178,12 +208,10 @@ impl Engine {
 
     fn execute_inner(&mut self, cmd: Command) -> Result<Outcome, HdnhError> {
         match cmd {
-            Command::Insert(k, v) => Ok(Outcome::Text(
-                match self.table()?.insert(&Key::from_u64(k), &Value::from_u64(v)) {
-                    Ok(()) => "ok".to_string(),
-                    Err(e) => format!("error: {e}"),
-                },
-            )),
+            Command::Insert(k, v) => {
+                let table = self.table()?;
+                ack(table, table.insert(&Key::from_u64(k), &Value::from_u64(v)).map(|()| "ok"))
+            }
             Command::Get(k) => Ok(Outcome::Text(match self.table()?.get(&Key::from_u64(k))? {
                 Some(v) => v.as_u64().to_string(),
                 None => "(not found)".to_string(),
@@ -212,19 +240,15 @@ impl Engine {
                 }
                 Ok(Outcome::Text(out))
             }
-            Command::Update(k, v) => Ok(Outcome::Text(
-                match self.table()?.update(&Key::from_u64(k), &Value::from_u64(v)) {
-                    Ok(()) => "ok".to_string(),
-                    Err(e) => format!("error: {e}"),
-                },
-            )),
-            Command::Delete(k) => Ok(Outcome::Text(
-                if self.table()?.remove(&Key::from_u64(k))? {
-                    "ok".to_string()
-                } else {
-                    "(not found)".to_string()
-                },
-            )),
+            Command::Update(k, v) => {
+                let table = self.table()?;
+                ack(table, table.update(&Key::from_u64(k), &Value::from_u64(v)).map(|()| "ok"))
+            }
+            Command::Delete(k) => {
+                let table = self.table()?;
+                let removed = table.remove(&Key::from_u64(k));
+                ack(table, removed.map(|r| if r { "ok" } else { "(not found)" }))
+            }
             Command::Fill(n) => {
                 let start_id = self.next_fill_id;
                 let t0 = Instant::now();
@@ -235,8 +259,11 @@ impl Engine {
                     match table.insert(&self.ks.key(id), &self.ks.value(id, 0)) {
                         Ok(()) => inserted += 1,
                         Err(HdnhError::DuplicateKey) => {}
-                        Err(e) => return Ok(Outcome::Text(format!("error at id {id}: {e}"))),
+                        Err(e) => return Ok(Outcome::Failure(format!("error: {e} (at id {id})"))),
                     }
+                }
+                if let Some(e) = table.io_fault() {
+                    return Err(e);
                 }
                 self.next_fill_id = start_id + n;
                 Ok(Outcome::Text(format!(
@@ -934,6 +961,39 @@ mod tests {
         assert!(banner.contains("clean shutdown"), "{banner}");
         assert_eq!(run(&mut e, "get 7"), "77");
         assert_eq!(e.execute(Command::Quit), Outcome::Quit);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn writes_over_a_sticky_io_fault_are_failures() {
+        let dir = std::env::temp_dir().join(format!("hdnh-cli-engine-fault-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut e = Engine::try_new(EngineConfig {
+            pool: Some(dir.to_str().unwrap().to_string()),
+            capacity: 4_000,
+            ..Default::default()
+        })
+        .unwrap();
+        assert_eq!(run(&mut e, "insert 1 10"), "ok");
+        e.table()
+            .unwrap()
+            .params()
+            .nvm
+            .backend
+            .pool()
+            .expect("pool-backed table")
+            .record_fault(hdnh_nvm::NvmIoError {
+                op: "msync",
+                path: dir.clone(),
+                msg: "injected flush failure".into(),
+            });
+        for line in ["insert 2 20", "update 1 11", "delete 1", "fill 10"] {
+            match e.execute(parse(line).unwrap().unwrap()) {
+                Outcome::Failure(t) => assert!(t.starts_with("error: i/o error"), "{line}: {t}"),
+                other => panic!("{line}: expected Failure, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -25,4 +25,4 @@ pub mod command;
 pub mod engine;
 
 pub use command::{parse, Command};
-pub use engine::{Engine, EngineConfig};
+pub use engine::{open_table, Engine, EngineConfig};

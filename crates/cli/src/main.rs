@@ -8,7 +8,8 @@
 //!
 //! Without a subcommand, reads shell commands from stdin (one per line;
 //! `help` lists them). Suitable both interactively and piped:
-//! `printf 'fill 1000\ninfo\n' | hdnh-cli`.
+//! `printf 'fill 1000\ninfo\n' | hdnh-cli`. When stdin is not a terminal
+//! the shell runs in batch mode: no prompts, and parse errors are fatal.
 //!
 //! `serve` runs the RESP network front-end from `hdnh-server` over a fresh
 //! table until `SHUTDOWN` or SIGTERM/SIGINT, then drains and exits 0.
@@ -21,10 +22,10 @@
 //!
 //! Exit status: 0 when every command succeeded; 1 when any command reported
 //! a failure (`verify` violation, `scrub` detection, failing `faultrun`
-//! case, i/o error) or — with `HDNH_CLI_BATCH` set — any line failed to
-//! parse; 2 for bad flags.
+//! case, i/o error) or — in batch mode — any line failed to parse; 2 for
+//! bad flags.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IsTerminal, Write};
 
 use hdnh_cli::{parse, Engine, EngineConfig};
 
@@ -39,28 +40,13 @@ fn main() {
         match arg.as_str() {
             "--strict" => config.strict = true,
             "--latency" => config.latency = true,
-            "--capacity" => {
-                config.capacity = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--capacity needs an integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--pool" => {
-                config.pool = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--pool needs a directory path");
-                    std::process::exit(2);
-                }));
-            }
-            "--sync-policy" => config.sync_policy = parse_sync_policy(args.next()),
             "--help" | "-h" => {
                 println!("hdnh-cli [--strict] [--latency] [--capacity N] [--pool DIR] [--sync-policy async|sync]");
                 println!("hdnh-cli serve <addr> [--threads N] [--max-conns N] [--capacity N] [--fill N] [--pool DIR] [--sync-policy async|sync] [--ops-addr ADDR] [--slow-us N]");
                 println!("{}", hdnh_cli::command::HELP);
                 return;
             }
+            other if table_flag(&mut config, other, &mut args) => {}
             other => {
                 eprintln!("unknown flag '{other}' (try --help)");
                 std::process::exit(2);
@@ -77,7 +63,7 @@ fn main() {
     }
     let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();
-    let interactive = atty_stdin();
+    let interactive = stdin.is_terminal();
     if interactive {
         println!("hdnh-cli — type 'help' for commands");
     }
@@ -122,27 +108,40 @@ fn main() {
     }
 }
 
-/// Parses `--sync-policy async|sync`. `sync` blocks every write ack on
-/// `msync(MS_SYNC)` — the only power-loss-safe setting; `async` (default)
-/// acks after a non-blocking `MS_ASYNC` and can lose acked writes if power
-/// fails before writeback.
-fn parse_sync_policy(val: Option<String>) -> hdnh_nvm::SyncPolicy {
-    match val.as_deref() {
-        Some("async") => hdnh_nvm::SyncPolicy::Async,
-        Some("sync") => hdnh_nvm::SyncPolicy::Sync,
-        _ => {
-            eprintln!("--sync-policy takes 'async' or 'sync'");
-            std::process::exit(2);
+/// Applies one of the table flags the shell and `serve` share
+/// (`--capacity N`, `--pool DIR`, `--sync-policy async|sync`). Returns
+/// false for any other flag.
+fn table_flag(config: &mut EngineConfig, flag: &str, args: &mut impl Iterator<Item = String>) -> bool {
+    match flag {
+        "--capacity" => {
+            config.capacity = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                eprintln!("--capacity needs an integer");
+                std::process::exit(2);
+            });
         }
+        "--pool" => {
+            config.pool = Some(args.next().unwrap_or_else(|| {
+                eprintln!("--pool needs a directory path");
+                std::process::exit(2);
+            }));
+        }
+        // `sync` blocks every write ack on `msync(MS_SYNC)` — the only
+        // power-loss-safe setting; `async` (default) acks after a
+        // non-blocking `MS_ASYNC` and can lose acked writes if power fails
+        // before writeback.
+        "--sync-policy" => {
+            config.sync_policy = match args.next().as_deref() {
+                Some("async") => hdnh_nvm::SyncPolicy::Async,
+                Some("sync") => hdnh_nvm::SyncPolicy::Sync,
+                _ => {
+                    eprintln!("--sync-policy takes 'async' or 'sync'");
+                    std::process::exit(2);
+                }
+            };
+        }
+        _ => return false,
     }
-}
-
-/// Minimal tty check without a dependency: assume non-interactive when the
-/// `HDNH_CLI_BATCH` env var is set, interactive otherwise. (Good enough for
-/// a demo shell; piped runs just see a few extra prompts on stdout if the
-/// variable is unset.)
-fn atty_stdin() -> bool {
-    std::env::var("HDNH_CLI_BATCH").is_err()
+    true
 }
 
 /// `serve <addr> [--threads N] [--max-conns N] [--capacity N] [--fill N]
@@ -163,12 +162,13 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
         std::process::exit(2);
     };
     let mut server_cfg = hdnh_server::ServerConfig::builder();
-    let mut capacity = 100_000usize;
+    let mut table_cfg = EngineConfig {
+        capacity: 100_000,
+        ..EngineConfig::default()
+    };
     let mut fill = 0u64;
-    let mut pool: Option<String> = None;
     let mut ops_addr: Option<String> = None;
     let mut slow_us = 0u64;
-    let mut sync_policy = hdnh_nvm::SyncPolicy::Async;
     while let Some(flag) = args.next() {
         let val = |args: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
             args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
@@ -183,14 +183,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
             "--max-conns" => {
                 server_cfg = server_cfg.max_conns(val(&mut args, "--max-conns") as usize);
             }
-            "--capacity" => capacity = val(&mut args, "--capacity").max(1) as usize,
             "--fill" => fill = val(&mut args, "--fill"),
-            "--pool" => {
-                pool = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--pool needs a directory path");
-                    std::process::exit(2);
-                }));
-            }
             "--ops-addr" => {
                 ops_addr = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--ops-addr needs an address (host:port)");
@@ -198,7 +191,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
                 }));
             }
             "--slow-us" => slow_us = val(&mut args, "--slow-us"),
-            "--sync-policy" => sync_policy = parse_sync_policy(args.next()),
+            other if table_flag(&mut table_cfg, other, &mut args) => {}
             other => {
                 eprintln!("unknown serve flag '{other}'");
                 std::process::exit(2);
@@ -211,15 +204,6 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
         eprintln!("bad server configuration: {e}");
         std::process::exit(2);
     });
-    let params = hdnh::HdnhParams::builder()
-        .capacity(capacity)
-        .nvm(hdnh_nvm::NvmOptions::fast())
-        .sync_policy(sync_policy)
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("bad table configuration: {e}");
-            std::process::exit(2);
-        });
     // HDNH_NO_OBS=1 keeps the whole observability layer off (counters,
     // histograms, flight recorder) so its overhead can be measured.
     let obs_on = std::env::var("HDNH_NO_OBS").is_err();
@@ -242,32 +226,16 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
             std::process::exit(1);
         }
     });
-    let table = match &pool {
-        None => hdnh::Hdnh::new(params),
-        Some(dir) => {
-            let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-            match hdnh::Hdnh::open_pool(params, std::path::Path::new(dir), threads) {
-                Ok((table, report)) => {
-                    if report.created {
-                        println!("created pool {dir}");
-                    } else {
-                        println!(
-                            "opened pool {dir}: {} records, {}",
-                            table.len(),
-                            if report.was_clean {
-                                "clean shutdown"
-                            } else {
-                                "recovered after unclean shutdown"
-                            }
-                        );
-                    }
-                    table
-                }
-                Err(e) => {
-                    eprintln!("cannot open pool {dir}: {e}");
-                    std::process::exit(1);
-                }
+    let table = match hdnh_cli::open_table(&table_cfg) {
+        Ok((table, banner)) => {
+            if let Some(banner) = banner {
+                println!("{banner}");
             }
+            table
+        }
+        Err(e) => {
+            eprintln!("cannot open table: {e}");
+            std::process::exit(1);
         }
     };
     let table = std::sync::Arc::new(table);
@@ -276,7 +244,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
         match table.insert_bytes(&Key::from_u64(id), id.to_string().as_bytes()) {
             Ok(()) => {}
             // A reopened pool may already hold the prefill range.
-            Err(hdnh::HdnhError::DuplicateKey) if pool.is_some() => {}
+            Err(hdnh::HdnhError::DuplicateKey) if table_cfg.pool.is_some() => {}
             Err(e) => {
                 eprintln!("prefill failed at id {id}: {e}");
                 std::process::exit(1);
@@ -303,7 +271,7 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
                 std::thread::sleep(std::time::Duration::from_millis(750));
                 ops.stop();
             }
-            if pool.is_some() {
+            if table_cfg.pool.is_some() {
                 // All workers have joined; ours is the last table handle.
                 // Marking the pool clean lets the next open skip recovery.
                 match std::sync::Arc::try_unwrap(table) {

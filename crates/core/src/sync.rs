@@ -9,16 +9,17 @@
 //! returning. Because the NVM write (flushes, fences, media latency)
 //! dominates, the DRAM hot-table write is fully hidden behind it.
 //!
-//! The pool owns `n` long-lived workers fed by a crossbeam MPMC channel —
-//! the paper's "the two threads will be returned to the thread pool".
-//! Each foreground thread reuses one signal allocation across operations
-//! (it can only have one write in flight).
+//! The pool owns `n` long-lived workers fed by one shared job queue — the
+//! paper's "the two threads will be returned to the thread pool". Each
+//! foreground thread reuses one signal allocation across operations (it
+//! can only have one write in flight).
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::TryRecvError;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use hdnh_common::rng::XorShift64Star;
 use hdnh_common::{Key, Record};
 use hdnh_obs as obs;
@@ -100,9 +101,75 @@ struct Job {
     signal: Arc<SyncSignal>,
 }
 
+/// The pool's job queue: one FIFO that every worker pops from, so a job
+/// goes to whichever worker is on a CPU. A channel per worker would pin
+/// each job to one worker that may be descheduled; with more spinning
+/// threads than cores (one writer and two workers on two cores) that made
+/// background writes up to 20× slower.
+#[derive(Default)]
+struct JobQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Workers blocked in [`JobQueue::pop`]. `push` signals only when some
+    /// are, so a write stream served by spinning workers makes no syscall.
+    parked: usize,
+    /// Set when the pool drops: workers drain the queue and exit.
+    closed: bool,
+}
+
+impl JobQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        // Nothing panics while holding the lock, so the state stays whole.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, job: Job) {
+        let mut s = self.lock();
+        s.jobs.push_back(job);
+        if s.parked > 0 {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Takes a job without blocking. A contended lock reads as empty, so a
+    /// spinning worker never parks on it.
+    fn try_pop(&self) -> Result<Job, TryRecvError> {
+        match self.state.try_lock() {
+            Ok(mut s) => Self::take(&mut s),
+            Err(TryLockError::Poisoned(e)) => Self::take(&mut e.into_inner()),
+            Err(TryLockError::WouldBlock) => Err(TryRecvError::Empty),
+        }
+    }
+
+    /// Parks until a push or the pool drops, then takes a job if one is left
+    /// (another worker may have taken it first: `Empty`).
+    fn pop(&self) -> Result<Job, TryRecvError> {
+        let mut s = self.lock();
+        if s.jobs.is_empty() && !s.closed {
+            s.parked += 1;
+            s = self.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
+            s.parked -= 1;
+        }
+        Self::take(&mut s)
+    }
+
+    fn take(s: &mut QueueState) -> Result<Job, TryRecvError> {
+        match s.jobs.pop_front() {
+            Some(job) => Ok(job),
+            None if !s.closed => Err(TryRecvError::Empty),
+            None => Err(TryRecvError::Disconnected),
+        }
+    }
+}
+
 /// The background writer pool.
 pub struct SyncWriter {
-    tx: Sender<Job>,
+    queue: Arc<JobQueue>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -116,10 +183,10 @@ impl SyncWriter {
     /// Spawns `n_workers` background threads.
     pub fn new(n_workers: usize) -> Self {
         assert!(n_workers >= 1);
-        let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
+        let queue = Arc::new(JobQueue::default());
         let workers = (0..n_workers)
             .map(|i| {
-                let rx = rx.clone();
+                let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("hdnh-bg-{i}"))
                     .spawn(move || {
@@ -140,29 +207,26 @@ impl SyncWriter {
                         // critical path); park only after going idle.
                         'outer: loop {
                             for _ in 0..4096 {
-                                match rx.try_recv() {
+                                match queue.try_pop() {
                                     Ok(job) => {
                                         run(job);
                                         continue 'outer;
                                     }
-                                    Err(crossbeam::channel::TryRecvError::Empty) => {
-                                        std::hint::spin_loop()
-                                    }
-                                    Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                                        break 'outer
-                                    }
+                                    Err(TryRecvError::Empty) => std::hint::spin_loop(),
+                                    Err(TryRecvError::Disconnected) => break 'outer,
                                 }
                             }
-                            match rx.recv() {
+                            match queue.pop() {
                                 Ok(job) => run(job),
-                                Err(_) => break,
+                                Err(TryRecvError::Empty) => {}
+                                Err(TryRecvError::Disconnected) => break,
                             }
                         }
                     })
                     .expect("spawn background writer")
             })
             .collect();
-        SyncWriter { tx, workers }
+        SyncWriter { queue, workers }
     }
 
     /// Dispatches the hot-table half of a write and returns a completion
@@ -175,22 +239,20 @@ impl SyncWriter {
                 .clone()
         });
         signal.arm();
-        self.tx
-            .send(Job {
-                op,
-                hot: Arc::clone(hot),
-                signal: Arc::clone(&signal),
-            })
-            .expect("background pool alive");
+        self.queue.push(Job {
+            op,
+            hot: Arc::clone(hot),
+            signal: Arc::clone(&signal),
+        });
         SyncHandle { signal }
     }
 }
 
 impl Drop for SyncWriter {
     fn drop(&mut self) {
-        // Disconnect the channel; workers drain and exit.
-        let (tx, _) = unbounded();
-        drop(std::mem::replace(&mut self.tx, tx));
+        // Workers drain the queue and exit.
+        self.queue.lock().closed = true;
+        self.queue.ready.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }

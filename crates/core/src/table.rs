@@ -922,7 +922,16 @@ impl Hdnh {
     fn find_and_lock(&self, inner: &Inner, key: &Key, h: &KeyHashes) -> Option<Located> {
         let mut backoff = Backoff::new();
         loop {
-            let loc = self.find(inner, key, h, true)?;
+            let reloc0 = self.relocations.load(Ordering::SeqCst);
+            let Some(loc) = self.find(inner, key, h, true) else {
+                // As in `get_inner`: a miss is only authoritative if no
+                // out-of-place update moved a record mid-probe; otherwise a
+                // racing update could report a present key as not found.
+                if self.relocations.load(Ordering::SeqCst) != reloc0 {
+                    continue;
+                }
+                return None;
+            };
             let (_, ocf) = inner.level(loc.li);
             match ocf.try_lock_at(loc.bucket, loc.slot, loc.entry) {
                 LockOutcome::Locked(_) => return Some(loc),

@@ -1,13 +1,15 @@
-//! Concurrent log-linear latency histogram.
+//! Log-linear latency histograms: the workspace's one bucket layout.
 //!
-//! Same bucket layout as the bench crate's offline `Histogram` (16 linear
-//! sub-buckets per power-of-two magnitude, ≤ ~6 % relative error from
-//! nanoseconds to days) but recordable from any thread with relaxed
-//! atomics: one `fetch_add` on the bucket plus `fetch_max`/`fetch_min` on
-//! the extrema. There is deliberately no separate total counter — a
-//! snapshot's population is *defined* as the sum of its buckets, so a
-//! merge or a concurrent snapshot can never observe a count that disagrees
-//! with its own bucket contents.
+//! 16 linear sub-buckets per power-of-two magnitude give ≤ ~6 % relative
+//! error from nanoseconds to days. [`AtomicHistogram`] is recordable from
+//! any thread with relaxed atomics: one `fetch_add` on the bucket plus
+//! `fetch_max`/`fetch_min` on the extrema. [`HistSnapshot`] is its plain
+//! copy; it can also be recorded into directly (`&mut self`, no atomics),
+//! which is how the offline benchmarks keep per-thread latency histograms
+//! and merge them after a run. There is deliberately no separate total
+//! counter — a snapshot's population is *defined* as the sum of its
+//! buckets, so a merge or a concurrent snapshot can never observe a count
+//! that disagrees with its own bucket contents.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -130,6 +132,15 @@ impl HistSnapshot {
         }
     }
 
+    /// Records one value (single owner, no atomics).
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.counts[bucket_of(v)] += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
+        self.min = self.min.min(v);
+    }
+
     /// Number of recorded values — by construction the sum of the buckets,
     /// so population is conserved under merge and diff.
     pub fn count(&self) -> u64 {
@@ -183,6 +194,22 @@ impl HistSnapshot {
             }
         }
         self.max
+    }
+
+    /// CDF sample points: `(value, cumulative_fraction)` at the lower edge
+    /// of every non-empty bucket; empty when nothing was recorded.
+    pub fn cdf(&self) -> Vec<(u64, f64)> {
+        let total = self.count() as f64;
+        let mut out = Vec::new();
+        let mut acc = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            acc += c;
+            out.push((bucket_value(i), acc as f64 / total));
+        }
+        out
     }
 
     /// Cumulative counts at ascending `edges` (Prometheus `le` bounds):
@@ -287,32 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_bench_layout_on_quantiles() {
-        // Same values through both this histogram and a fresh one merged
-        // from two halves must agree bucket-for-bucket.
-        let whole = AtomicHistogram::new();
-        let a = AtomicHistogram::new();
-        let b = AtomicHistogram::new();
-        for v in 0..1000u64 {
-            let x = (v * 2654435761) % 100_000;
-            whole.record(x);
-            if v % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        let w = whole.snapshot();
-        assert_eq!(merged.count(), w.count());
-        assert_eq!(merged.sum(), w.sum());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(merged.quantile(q), w.quantile(q));
-        }
-    }
-
-    #[test]
     fn since_subtracts_population_exactly() {
         let h = AtomicHistogram::new();
         for v in [100u64, 200, 300] {
@@ -359,6 +360,55 @@ mod tests {
         assert_eq!(s.min(), 0);
         assert_eq!(s.max(), 0);
         assert_eq!(s.mean(), 0.0);
+    }
+
+    #[test]
+    fn recorded_halves_merge_to_combined_recording() {
+        // Two halves recorded into plain snapshots and merged afterwards
+        // must agree bucket-for-bucket with one atomic histogram that saw
+        // every value.
+        let whole = AtomicHistogram::new();
+        let mut a = HistSnapshot::empty();
+        let mut b = HistSnapshot::empty();
+        for v in 0..1000u64 {
+            let x = (v * 2654435761) % 100_000;
+            whole.record(x);
+            if v % 2 == 0 {
+                a.record(x);
+            } else {
+                b.record(x);
+            }
+        }
+        a.merge(&b);
+        let w = whole.snapshot();
+        assert_eq!(a, w);
+        for q in [0.1, 0.5, 0.9, 0.99] {
+            assert_eq!(a.quantile(q), w.quantile(q));
+        }
+    }
+
+    #[test]
+    fn cdf_is_monotone_and_ends_at_one() {
+        let mut s = HistSnapshot::empty();
+        for v in [5u64, 50, 500, 5000, 50_000] {
+            s.record(v);
+        }
+        let cdf = s.cdf();
+        assert_eq!(cdf.len(), 5);
+        assert!(cdf.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1), "{cdf:?}");
+        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-9);
+        assert!(HistSnapshot::empty().cdf().is_empty());
+    }
+
+    #[test]
+    fn small_values_do_not_collapse_into_one_quantile() {
+        let mut s = HistSnapshot::empty();
+        for v in [1u64, 3, 9] {
+            s.record(v);
+        }
+        assert_eq!(s.count(), 3);
+        assert!(s.quantile(0.01) < s.quantile(0.5), "{s:?}");
+        assert!(s.quantile(0.5) < s.quantile(0.99), "{s:?}");
     }
 
     #[test]
