@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 mod epoch;
 
+pub mod crc;
 pub mod error;
 pub mod faultexplore;
 pub mod hot;
@@ -58,12 +59,13 @@ pub mod sync;
 pub mod table;
 pub mod vlog;
 
+pub use crc::{crc32_ieee, crc32_ieee_update};
 pub use error::{CorruptionOutcome, HdnhError};
 pub use faultexplore::{ExploreConfig, ExploreReport, FaultCaseResult, OpMix};
 pub use hot::HotTable;
 pub use params::{HdnhParams, HdnhParamsBuilder, HotPolicy, SyncMode};
-pub use pool::{crc32_ieee, PoolOpenReport, Superblock, SUPERBLOCK_FILE};
-pub use recovery::{PersistentPool, RecoveryTiming};
+pub use pool::{PoolOpenReport, Superblock, SUPERBLOCK_FILE};
+pub use recovery::{PersistentPool, RebuildTiming};
 pub use snapshot::{
     verify_snapshot, ManifestEntry, SnapshotManifest, SnapshotReport, SNAPSHOT_MANIFEST_FILE,
 };

@@ -26,12 +26,14 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use hdnh_nvm::{Backend, NvmRegion, PoolDir};
 
+use crate::crc::crc32_ieee;
 use crate::meta::{self, META_BYTES};
 use crate::params::HdnhParams;
-use crate::recovery::{PersistentPool, RecoveryTiming};
+use crate::recovery::PersistentPool;
 use crate::{Hdnh, HdnhError};
 
 /// Filename of the pool superblock inside a pool directory.
@@ -124,20 +126,6 @@ impl Superblock {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), bitwise — this
-/// runs on superblock/manifest-sized inputs, a table buys nothing. Public
-/// because the snapshot manifest and its tests share the same checksum.
-pub fn crc32_ieee(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (!(crc & 1)).wrapping_add(1));
-        }
-    }
-    !crc
-}
-
 pub(crate) fn read_superblock(dir: &Path) -> Result<Superblock, HdnhError> {
     let path = dir.join(SUPERBLOCK_FILE);
     let bytes = fs::read(&path)
@@ -174,8 +162,8 @@ pub struct PoolOpenReport {
     /// `true` when the previous holder shut down cleanly (recovery was a
     /// pure rebuild). Always `false` for a created pool.
     pub was_clean: bool,
-    /// Timing of the recovery scan (zeroed for a created pool).
-    pub recovery: RecoveryTiming,
+    /// Wall-clock time of the recovery scan (zero for a created pool).
+    pub recovery: Duration,
     /// Orphan region files removed after recovery (left by a process
     /// killed inside a resize window).
     pub removed_orphans: usize,
@@ -404,7 +392,7 @@ impl Hdnh {
             PoolOpenReport {
                 created: true,
                 was_clean: false,
-                recovery: RecoveryTiming::default(),
+                recovery: Duration::ZERO,
                 removed_orphans: 0,
                 layout_epoch: 1,
             },
@@ -493,9 +481,23 @@ mod tests {
         }
     }
 
+    /// A superblock as the bitwise CRC-32 encoded it before the
+    /// table-driven kernel: existing pools must keep opening.
     #[test]
-    fn crc32_matches_reference_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32_ieee(b"123456789"), 0xCBF4_3926);
+    fn golden_superblock_bytes_still_decode() {
+        let hex = "48444e48504f4f4c020000000100000000100000000000000700000000000000\
+                   000000000000000000000000000000000000000000000000000000007afd27c8";
+        let golden: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        let sb = Superblock {
+            version: SUPERBLOCK_VERSION,
+            clean: true,
+            segment_bytes: 4096,
+            layout_epoch: 7,
+        };
+        assert_eq!(Superblock::decode(&golden).unwrap(), sb);
+        assert_eq!(&sb.encode()[..], &golden[..]);
     }
 }

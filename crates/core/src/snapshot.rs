@@ -38,9 +38,9 @@ use std::path::{Path, PathBuf};
 use hdnh_nvm::Backend;
 use hdnh_obs as obs;
 
+use crate::crc::{crc32_ieee, crc32_ieee_update};
 use crate::pool::{
-    crc32_ieee, read_superblock, write_superblock, Superblock, SUPERBLOCK_FILE,
-    SUPERBLOCK_VERSION,
+    read_superblock, write_superblock, Superblock, SUPERBLOCK_FILE, SUPERBLOCK_VERSION,
 };
 use crate::{Hdnh, HdnhError};
 
@@ -88,36 +88,43 @@ fn io_err(op: &str, p: &Path, e: std::io::Error) -> HdnhError {
     HdnhError::Io(format!("{op} {}: {e}", p.display()))
 }
 
-/// Copies `src` to `dst` in chunks, returning `(len, crc32)`. The
-/// destination is fsynced so a snapshot is durable once its manifest is.
-fn copy_with_crc(src: &Path, dst: &Path) -> Result<(u64, u32), HdnhError> {
+/// Chunk size for streaming a region file through the CRC.
+const CHUNK_BYTES: usize = 1 << 20;
+
+/// Streams `src` in [`CHUNK_BYTES`] chunks, handing each to `sink` and
+/// folding it into the CRC; returns `(len, crc32)`.
+fn stream_crc(
+    src: &Path,
+    mut sink: impl FnMut(&[u8]) -> Result<(), HdnhError>,
+) -> Result<(u64, u32), HdnhError> {
     let mut from = fs::File::open(src).map_err(|e| io_err("open", src, e))?;
-    let mut to = fs::File::create(dst).map_err(|e| io_err("create", dst, e))?;
-    let mut buf = vec![0u8; 1 << 20];
-    let mut len = 0u64;
-    let mut crc = !0u32;
+    let mut buf = vec![0u8; CHUNK_BYTES];
+    let (mut len, mut crc) = (0u64, 0u32);
     loop {
         let n = from.read(&mut buf).map_err(|e| io_err("read", src, e))?;
         if n == 0 {
-            break;
+            return Ok((len, crc));
         }
-        // Incremental CRC: fold each chunk into the running register.
-        for &byte in &buf[..n] {
-            crc ^= byte as u32;
-            for _ in 0..8 {
-                crc = (crc >> 1) ^ (0xEDB8_8320 & (!(crc & 1)).wrapping_add(1));
-            }
-        }
-        to.write_all(&buf[..n]).map_err(|e| io_err("write", dst, e))?;
+        crc = crc32_ieee_update(crc, &buf[..n]);
+        sink(&buf[..n])?;
         len += n as u64;
     }
-    to.sync_all().map_err(|e| io_err("fsync", dst, e))?;
-    Ok((len, !crc))
 }
 
+/// Copies `src` to `dst` in chunks, returning `(len, crc32)`. The
+/// destination is fsynced so a snapshot is durable once its manifest is.
+fn copy_with_crc(src: &Path, dst: &Path) -> Result<(u64, u32), HdnhError> {
+    let mut to = fs::File::create(dst).map_err(|e| io_err("create", dst, e))?;
+    let out = stream_crc(src, |chunk| {
+        to.write_all(chunk).map_err(|e| io_err("write", dst, e))
+    })?;
+    to.sync_all().map_err(|e| io_err("fsync", dst, e))?;
+    Ok(out)
+}
+
+/// `(len, crc32)` of a file, read in bounded chunks.
 fn file_crc(path: &Path) -> Result<(u64, u32), HdnhError> {
-    let bytes = fs::read(path).map_err(|e| io_err("read", path, e))?;
-    Ok((bytes.len() as u64, crc32_ieee(&bytes)))
+    stream_crc(path, |_| Ok(()))
 }
 
 impl SnapshotManifest {
@@ -448,5 +455,22 @@ mod tests {
         let resealed = format!("{body}end {:08x}\n", crc32_ieee(body.as_bytes()));
         let err = SnapshotManifest::decode(&resealed).unwrap_err();
         assert!(format!("{err}").contains("plain filename"), "{err}");
+    }
+
+    #[test]
+    fn chunked_file_crc_equals_one_shot() {
+        let dir = std::env::temp_dir().join(format!("hdnh-snapcrc-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let (src, dst) = (dir.join("src.dat"), dir.join("dst.dat"));
+        // Two whole chunks and a ragged tail.
+        let bytes: Vec<u8> = (0..2 * CHUNK_BYTES + 12_345)
+            .map(|i| (i * 131 % 251) as u8)
+            .collect();
+        fs::write(&src, &bytes).unwrap();
+        let want = (bytes.len() as u64, crc32_ieee(&bytes));
+        assert_eq!(file_crc(&src).unwrap(), want);
+        assert_eq!(copy_with_crc(&src, &dst).unwrap(), want);
+        assert_eq!(fs::read(&dst).unwrap(), bytes);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

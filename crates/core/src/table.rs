@@ -215,9 +215,9 @@ impl Drop for Hdnh {
 
 /// A pinned snapshot: the epoch pin (taken *before* the pointer load) keeps
 /// a concurrent resize from freeing the `Inner` this borrows.
-struct PinnedInner<'a> {
+pub(crate) struct PinnedInner<'a> {
     _pin: epoch::Pin,
-    inner: &'a Inner,
+    pub(crate) inner: &'a Inner,
 }
 
 #[cfg(debug_assertions)]
@@ -267,7 +267,7 @@ impl Hdnh {
     /// Pins the epoch and loads the live snapshot: the entire read-side
     /// synchronization cost — one uncontended `fetch_add` and one load.
     #[inline]
-    fn pinned(&self) -> PinnedInner<'_> {
+    pub(crate) fn pinned(&self) -> PinnedInner<'_> {
         let pin = epoch::pin();
         // Safety: the pointer is never null while `&self` is reachable, and
         // the pin taken before the load keeps resize's reclamation drain

@@ -327,7 +327,7 @@ impl Vlog {
     /// Verifies the record behind `ptr` without materializing it.
     pub fn verify(&self, ptr: &VlogPtr, key: &Key) -> bool {
         match self.segment(ptr.segment) {
-            Some(seg) => seg.read(ptr.offset, ptr.len, key).is_ok(),
+            Some(seg) => seg.verify(ptr.offset, ptr.len, key),
             None => false,
         }
     }

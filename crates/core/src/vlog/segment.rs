@@ -9,7 +9,8 @@
 //! └──────────┴──────────┴───────────────┴──────────┴─────────┘
 //! ```
 //!
-//! The CRC32 (IEEE, the same polynomial as the superblock's) covers the
+//! The CRC32 ([`crate::crc`], the kernel the superblock and snapshots
+//! use) covers the
 //! length, key and payload, so a torn write anywhere in a record — length
 //! word, key, payload or the checksum itself — is detected and never
 //! forged into a shorter-but-valid record. Records are reserved at 8-byte
@@ -24,7 +25,7 @@ use std::sync::Arc;
 use hdnh_common::{Key, KEY_LEN};
 use hdnh_nvm::{fault, NvmRegion};
 
-use crate::pool::crc32_ieee;
+use crate::crc::crc32_ieee;
 
 /// Fixed bytes around each record's payload: 4-byte length, 16-byte key,
 /// 4-byte CRC32.
@@ -168,10 +169,11 @@ impl VlogSegment {
         Some(off as u32)
     }
 
-    /// Reads and verifies the record at `offset`. `Err(())` means the
-    /// bytes there do not checksum to a record carrying this key and
-    /// length — corruption (or a dangling pointer), never a forged value.
-    pub(crate) fn read(&self, offset: u32, len: u32, key: &Key) -> Result<Vec<u8>, ()> {
+    /// Reads the record at `offset` into one buffer and checks it.
+    /// `Err(())` means the bytes there do not checksum to a record
+    /// carrying this key and length — corruption (or a dangling pointer),
+    /// never a forged value. On success the buffer holds the whole record.
+    fn read_record(&self, offset: u32, len: u32, key: &Key) -> Result<Vec<u8>, ()> {
         let off = offset as usize;
         let len = len as usize;
         if len > super::MAX_VALUE_BYTES || off + footprint(len) > self.region.len() {
@@ -180,11 +182,24 @@ impl VlogSegment {
         let mut rec = vec![0u8; RECORD_OVERHEAD + len];
         self.region.read_into(off, &mut rec);
         match decode_record(&rec) {
-            Some((k, payload)) if k == *key && payload.len() == len => Ok(rec
-                [4 + KEY_LEN..4 + KEY_LEN + len]
-                .to_vec()),
+            Some((k, payload)) if k == *key && payload.len() == len => Ok(rec),
             _ => Err(()),
         }
+    }
+
+    /// Reads and verifies the record at `offset`, returning its payload:
+    /// the record buffer itself, with the header and CRC trimmed off.
+    pub(crate) fn read(&self, offset: u32, len: u32, key: &Key) -> Result<Vec<u8>, ()> {
+        let mut rec = self.read_record(offset, len, key)?;
+        rec.truncate(4 + KEY_LEN + len as usize);
+        rec.drain(..4 + KEY_LEN);
+        Ok(rec)
+    }
+
+    /// Whether the record at `offset` verifies, without materializing its
+    /// payload.
+    pub(crate) fn verify(&self, offset: u32, len: u32, key: &Key) -> bool {
+        self.read_record(offset, len, key).is_ok()
     }
 
     /// Walks records from offset 0 and returns the offset of the first
@@ -194,6 +209,7 @@ impl VlogSegment {
     pub(crate) fn scan_tail(&self) -> u64 {
         let cap = self.region.len();
         let mut off = 0usize;
+        let mut rec = Vec::new();
         loop {
             if off + RECORD_OVERHEAD > cap {
                 break;
@@ -204,7 +220,7 @@ impl VlogSegment {
             if len == 0 || len > super::MAX_VALUE_BYTES || off + footprint(len) > cap {
                 break;
             }
-            let mut rec = vec![0u8; RECORD_OVERHEAD + len];
+            rec.resize(RECORD_OVERHEAD + len, 0);
             self.region.peek(off, &mut rec);
             if decode_record(&rec).is_none() {
                 break;
@@ -220,6 +236,7 @@ impl VlogSegment {
     pub(crate) fn for_each_record(&self, mut f: impl FnMut(u32, &Key, &[u8])) {
         let end = self.used() as usize;
         let mut off = 0usize;
+        let mut rec = Vec::new();
         while off + RECORD_OVERHEAD <= end {
             let mut lenb = [0u8; 4];
             self.region.peek(off, &mut lenb);
@@ -227,7 +244,7 @@ impl VlogSegment {
             if len == 0 || len > super::MAX_VALUE_BYTES || off + footprint(len) > end {
                 break;
             }
-            let mut rec = vec![0u8; RECORD_OVERHEAD + len];
+            rec.resize(RECORD_OVERHEAD + len, 0);
             self.region.peek(off, &mut rec);
             match decode_record(&rec) {
                 Some((k, payload)) => f(off as u32, &k, payload),
@@ -260,6 +277,28 @@ mod tests {
             assert_eq!(k, key);
             assert_eq!(p, &payload[..]);
         }
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// A record as the bitwise CRC-32 encoded it before the table-driven
+    /// kernel: logs already on media must keep decoding, byte for byte.
+    #[test]
+    fn golden_record_bytes_still_decode() {
+        let golden = unhex(
+            "25000000efcdab89674523010000000000000000030a11181f262d343b424950\
+             575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff10ef58b4000000",
+        );
+        let key = Key::from_u64(0x0123_4567_89AB_CDEF);
+        let payload: Vec<u8> = (0..37u32).map(|i| (i * 7 + 3) as u8).collect();
+        let (k, p) = decode_record(&golden).expect("golden record decodes");
+        assert_eq!((k, p), (key, &payload[..]));
+        assert_eq!(encode_record(&key, &payload), golden);
     }
 
     #[test]
